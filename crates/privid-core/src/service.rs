@@ -44,8 +44,9 @@ use privid_store::{
 };
 use privid_video::{CameraId, FrameBatch, FrameRate, FrameSize, Recording, Scene, Seconds, TimeSpan};
 use std::collections::{BTreeMap, HashMap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex, RwLock};
+use std::time::Instant;
 
 /// Everything the service knows about one registered camera. Shared with
 /// running sessions via `Arc`, so registering new cameras never blocks (or
@@ -208,6 +209,10 @@ pub struct QueryService {
     /// records live on the shard its *name* hashes to. A `Mutex` (not
     /// `RwLock`): every access mutates the firing high-watermark or results.
     standing: Mutex<HashMap<String, StandingState>>,
+    /// Paired with `standing`: notified each time a firing is recorded, and
+    /// by [`QueryService::wake_standing_waiters`]. Long-polls park on it
+    /// instead of re-taking the registry lock on a timer.
+    standing_fired: Condvar,
     /// Source of registration generations for cameras and processors —
     /// global and monotonic across shards, so a recovered fleet resumes the
     /// counter past every shard's generations.
@@ -233,6 +238,34 @@ pub struct QueryService {
     /// `tenant-quota-registry` — standalone acquisitions only (reserve /
     /// refund / read), never nested with any other lock.
     tenant_quotas: Mutex<HashMap<String, f64>>,
+}
+
+/// The firings of standing query `name` past `cursor`, as `tenant` may see
+/// them. `None` means no such query, or one the tenant does not own.
+fn poll_registry(
+    standing: &HashMap<String, StandingState>,
+    tenant: Option<&str>,
+    name: &str,
+    cursor: u64,
+) -> Option<StandingPoll> {
+    standing.get(name).filter(|s| match tenant {
+        // Trusted in-process callers see everything.
+        None => true,
+        Some(t) => s.owner.as_deref() == Some(t),
+    }).map(|s| {
+        let oldest = s.fired_count - s.firings.len() as u64;
+        // A cursor past the end (e.g. from a previous process incarnation
+        // that had fired more) clamps to the live range rather than
+        // erroring: the poller simply resumes from "now".
+        let from = cursor.min(s.fired_count);
+        let dropped = oldest.saturating_sub(from);
+        let skip = from.saturating_sub(oldest) as usize;
+        StandingPoll {
+            firings: s.firings.iter().skip(skip).cloned().collect(),
+            next_cursor: s.fired_count,
+            dropped,
+        }
+    })
 }
 
 /// Default number of standing-query firings retained per query.
@@ -358,6 +391,7 @@ impl QueryService {
         QueryService {
             shards: vec![ServiceShard::new(0, None)],
             standing: Mutex::new(HashMap::new()),
+            standing_fired: Condvar::new(),
             generations: AtomicU64::new(0),
             default_epsilon: 1.0,
             parallelism: Parallelism::Auto,
@@ -952,26 +986,45 @@ impl QueryService {
     }
 
     fn poll_standing_scoped(&self, tenant: Option<&str>, name: &str, cursor: u64) -> Option<StandingPoll> {
-        self.standing.lock().expect("standing registry poisoned").get(name).filter(|s| { // privid-analyzer: allow(panic-freedom) -- lock poisoning only follows a prior panic; propagating the crash is intended
-            match tenant {
-                // Trusted in-process callers see everything.
-                None => true,
-                Some(t) => s.owner.as_deref() == Some(t),
+        let standing = self.standing.lock().expect("standing registry poisoned"); // privid-analyzer: allow(panic-freedom) -- lock poisoning only follows a prior panic; propagating the crash is intended
+        poll_registry(&standing, tenant, name, cursor)
+    }
+
+    /// [`QueryService::standing_results_since_as`], waiting for news: parks
+    /// until a firing past `cursor` is recorded, `deadline` passes, or `stop`
+    /// is raised (and [`QueryService::wake_standing_waiters`] called), then
+    /// returns the poll as it stands — empty on the deadline or a stop.
+    ///
+    /// Names the tenant may not read return `None` at once, without waiting,
+    /// exactly as the non-blocking poll does.
+    pub fn wait_standing_since_as(
+        &self,
+        tenant: &str,
+        name: &str,
+        cursor: u64,
+        deadline: Instant,
+        stop: &AtomicBool,
+    ) -> Option<StandingPoll> {
+        let mut standing = self.standing.lock().expect("standing registry poisoned"); // privid-analyzer: allow(panic-freedom) -- lock poisoning only follows a prior panic; propagating the crash is intended
+        loop {
+            let poll = poll_registry(&standing, Some(tenant), name, cursor)?;
+            let left = deadline.saturating_duration_since(Instant::now());
+            // The flag is read under the registry lock and the waker takes
+            // that lock before notifying, so a stop cannot slip in between
+            // this check and the wait below.
+            if !poll.firings.is_empty() || left.is_zero() || stop.load(Ordering::Relaxed) {
+                return Some(poll);
             }
-        }).map(|s| {
-            let oldest = s.fired_count - s.firings.len() as u64;
-            // A cursor past the end (e.g. from a previous process incarnation
-            // that had fired more) clamps to the live range rather than
-            // erroring: the poller simply resumes from "now".
-            let from = cursor.min(s.fired_count);
-            let dropped = oldest.saturating_sub(from);
-            let skip = from.saturating_sub(oldest) as usize;
-            StandingPoll {
-                firings: s.firings.iter().skip(skip).cloned().collect(),
-                next_cursor: s.fired_count,
-                dropped,
-            }
-        })
+            standing = self.standing_fired.wait_timeout(standing, left).expect("standing registry poisoned").0; // privid-analyzer: allow(panic-freedom) -- lock poisoning only follows a prior panic; propagating the crash is intended
+        }
+    }
+
+    /// Wake every [`QueryService::wait_standing_since_as`] caller so it
+    /// re-checks its stop flag. Raise the flag first; taking the registry
+    /// lock before notifying means no waiter can miss the wake-up.
+    pub fn wake_standing_waiters(&self) {
+        let _standing = self.standing.lock().expect("standing registry poisoned"); // privid-analyzer: allow(panic-freedom) -- lock poisoning only follows a prior panic; propagating the crash is intended
+        self.standing_fired.notify_all();
     }
 
     /// Fire every standing query whose next window is now fully recorded.
@@ -1072,6 +1125,7 @@ impl QueryService {
                 while st.firings.len() > self.standing_retention {
                     st.firings.pop_front();
                 }
+                self.standing_fired.notify_all();
             }
         }
         for query in prefolds {
@@ -2253,6 +2307,58 @@ mod tests {
         assert!(svc.standing_results_since_as("acme", "legacy", 0).is_none(), "unowned names are invisible to scoped polls");
         svc.register_standing_query_as("acme", "legacy", 4, standing).unwrap();
         assert!(svc.standing_results_since_as("acme", "legacy", 0).is_some(), "identical re-registration claims the unowned name");
+    }
+
+    #[test]
+    fn standing_waits_wake_on_firings_deadlines_and_stops_and_never_wait_for_hidden_names() {
+        use privid_video::FrameBatch;
+        use std::time::Duration;
+        let svc = live_service();
+        svc.register_standing_query_as("acme", "watch", 3, LIVE_QUERY).unwrap();
+        let far = || Instant::now() + Duration::from_secs(30);
+        let never = AtomicBool::new(false);
+
+        // A firing recorded on another thread wakes the parked waiter. Either
+        // order passes; the pause makes parking first the usual one.
+        let started = Instant::now();
+        let poll = std::thread::scope(|scope| {
+            scope.spawn(|| {
+                std::thread::sleep(Duration::from_millis(50));
+                svc.append_frames("live", FrameBatch::new(120.0, vec![walker(1, 5.0, 40.0)])).unwrap();
+            });
+            svc.wait_standing_since_as("acme", "watch", 0, far(), &never).unwrap()
+        });
+        assert!(started.elapsed() < Duration::from_secs(10), "woken by the firing, not the deadline");
+        assert_eq!((poll.firings.len(), poll.next_cursor), (1, 1));
+        assert_eq!(Some(poll), svc.standing_results_since_as("acme", "watch", 0));
+
+        // Nothing new: an empty poll once the deadline passes.
+        let started = Instant::now();
+        let deadline = started + Duration::from_millis(50);
+        let poll = svc.wait_standing_since_as("acme", "watch", 1, deadline, &never).unwrap();
+        assert!(poll.firings.is_empty());
+        assert_eq!(poll.next_cursor, 1);
+        assert!(Instant::now() >= deadline);
+
+        // Raising the stop flag and waking releases the waiter early, empty.
+        let stop = AtomicBool::new(false);
+        let started = Instant::now();
+        let poll = std::thread::scope(|scope| {
+            scope.spawn(|| {
+                std::thread::sleep(Duration::from_millis(50));
+                stop.store(true, Ordering::Relaxed);
+                svc.wake_standing_waiters();
+            });
+            svc.wait_standing_since_as("acme", "watch", 1, far(), &stop).unwrap()
+        });
+        assert!(started.elapsed() < Duration::from_secs(10), "woken by the stop, not the deadline");
+        assert!(poll.firings.is_empty());
+
+        // Unknown and other-tenant names answer None at once, identically.
+        let started = Instant::now();
+        assert!(svc.wait_standing_since_as("acme", "nope", 0, far(), &never).is_none());
+        assert!(svc.wait_standing_since_as("rival", "watch", 0, far(), &never).is_none());
+        assert!(started.elapsed() < Duration::from_secs(1), "hidden names never wait");
     }
 
     // ---- durability ---------------------------------------------------------------------

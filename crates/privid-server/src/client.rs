@@ -13,7 +13,6 @@ use privid_wire::{RemoteError, Request, Response, SceneKind, WalkerSpec, WireErr
 use std::io;
 use std::net::TcpStream;
 use std::sync::atomic::AtomicBool;
-use std::time::Duration;
 
 /// Why a client call failed.
 #[derive(Debug)]
@@ -91,7 +90,6 @@ impl PrividClient {
     pub fn connect(addr: &str, token: &str) -> Result<PrividClient, ClientError> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
-        stream.set_read_timeout(Some(Duration::from_millis(100)))?;
         let mut client =
             PrividClient { stream, local_flag: AtomicBool::new(false), tenant: String::new() };
         match client.call(&Request::Hello { token })? {
@@ -205,13 +203,7 @@ impl PrividClient {
     /// (30 s — see PROTOCOL.md); to wait longer, re-issue with the same
     /// cursor when an empty poll returns.
     pub fn stream_firings(&mut self, name: &str, cursor: u64, max_wait_ms: u32) -> Result<WirePoll, ClientError> {
-        // The server may hold this request up to max_wait_ms; widen the
-        // socket patience accordingly, then restore the short default.
-        let patient = Duration::from_millis(u64::from(max_wait_ms) + 2_000);
-        self.stream.set_read_timeout(Some(patient))?;
-        let outcome = self.call(&Request::StreamFirings { name, cursor, max_wait_ms });
-        self.stream.set_read_timeout(Some(Duration::from_millis(100)))?;
-        match outcome? {
+        match self.call(&Request::StreamFirings { name, cursor, max_wait_ms })? {
             Response::PollOk(poll) => Ok(poll),
             other => Err(unexpected(other, "PollOk")),
         }

@@ -1,10 +1,12 @@
 //! Blocking frame I/O over a `TcpStream`.
 //!
 //! `privid-wire` is sans-IO; this module is the thin blocking driver the
-//! threaded server and client share. Reads are chunked against a short
-//! socket timeout so a blocked thread re-checks the shutdown flag a few
-//! times a second instead of parking forever — that, not signals, is how a
-//! clean shutdown reaches a connection that is idle mid-read.
+//! threaded server and client share. Reads block until bytes arrive. A
+//! server shutting down reaches a connection idle mid-read by shutting down
+//! the socket's read side: the blocked read returns end-of-file, and because
+//! the shutdown flag is raised first, the read reports
+//! [`ReadFrame::Shutdown`] rather than the peer closing. A read timeout set
+//! by the caller is tolerated: a timed-out read is retried.
 
 use privid_wire::{decode_header, WireError, HEADER_LEN};
 use std::io::{self, Read, Write};
@@ -57,8 +59,9 @@ pub enum ReadFrame {
 
 /// Fill `buf` completely, tolerating read timeouts. Returns `false` when the
 /// peer closed before the first byte (clean EOF) — mid-buffer EOF is an
-/// `UnexpectedEof` error. When `shutdown` trips while waiting, returns an
-/// `Interrupted` error the caller maps to [`ReadFrame::Shutdown`].
+/// `UnexpectedEof` error. When `shutdown` is raised before a read or by the
+/// time one returns end-of-file, returns an `Interrupted` error the caller
+/// maps to [`ReadFrame::Shutdown`].
 fn read_full(stream: &mut TcpStream, buf: &mut [u8], shutdown: &AtomicBool) -> io::Result<bool> {
     let mut filled = 0;
     while filled < buf.len() {
@@ -70,6 +73,12 @@ fn read_full(stream: &mut TcpStream, buf: &mut [u8], shutdown: &AtomicBool) -> i
         };
         match stream.read(rest) {
             Ok(0) => {
+                // A server raises the flag before it shuts the read side
+                // down, and the socket shutdown that ends this read is
+                // ordered after that store by the kernel's socket lock.
+                if shutdown.load(Ordering::Relaxed) {
+                    return Err(io::Error::new(io::ErrorKind::Interrupted, "server shutting down"));
+                }
                 if filled == 0 {
                     return Ok(false);
                 }

@@ -24,9 +24,15 @@
 //! frames are limited to [`PRE_AUTH_MAX_PAYLOAD`] — an anonymous peer cannot
 //! make one length prefix size a 16 MiB allocation.
 //!
-//! Shutdown is cooperative: a flag plus short socket timeouts. No thread
-//! blocks longer than [`TICK`] without re-checking the flag, and
-//! [`Server::shutdown`] joins every thread before returning.
+//! Every thread blocks on the event it serves, never on a timer: the accept
+//! thread in `accept()`, handlers in a socket read, long-polls on the
+//! service's standing-firing condvar, which each recorded firing notifies.
+//! [`Server::shutdown`] raises a flag, then wakes each kind of sleeper
+//! directly — the accept thread with a throwaway self-connection, parked
+//! long-polls through [`QueryService::wake_standing_waiters`], and blocked
+//! reads by shutting down the read side of each live socket (the read
+//! returns end-of-file, the handler sees the flag and still answers the
+//! typed `SHUTTING_DOWN`). It joins every thread before returning.
 
 use crate::auth::{AuthRegistry, Identity, Role, Token};
 use crate::net::{read_frame, write_frame, FrameError, ReadFrame};
@@ -38,16 +44,21 @@ use privid_video::{
 };
 use privid_wire::{code, RemoteError, Request, Response, SceneKind, WalkerSpec, WirePoll, MAX_PAYLOAD};
 use std::io::{self, Read};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-/// How long any blocking wait may last before the shutdown flag is
-/// re-checked (socket read timeout, accept poll, long-poll tick).
-const TICK: Duration = Duration::from_millis(25);
+/// Write and drain timeout of a busy refusal, which runs on the accept
+/// thread: a peer that neither reads nor closes cannot stall accepting.
+const BUSY_REFUSAL_IO_TIMEOUT: Duration = Duration::from_millis(25);
+
+/// Pause after a failed `accept()` (e.g. the process is out of file
+/// descriptors), so a persistent failure does not spin the accept thread.
+/// Successful accepts never wait.
+const ACCEPT_ERROR_BACKOFF: Duration = Duration::from_millis(25);
 
 /// Hard cap on a registered synthetic scene's duration (one week). Scene
 /// generation is O(duration); an unbounded request would let one owner call
@@ -61,8 +72,8 @@ const MAX_SCENE_SECS: f64 = 7.0 * 24.0 * 3600.0;
 pub const PRE_AUTH_MAX_PAYLOAD: u32 = 4 * 1024;
 
 /// Server-side ceiling on [`Request::StreamFirings`]'s `max_wait_ms`
-/// (PROTOCOL.md). A long-poll pins its handler thread (each tick re-takes
-/// the standing-registry lock); a `u32::MAX` wait would pin it for ~50 days.
+/// (PROTOCOL.md). A long-poll pins its handler thread while it waits for a
+/// firing; a `u32::MAX` wait would pin it for ~50 days.
 /// Clients wanting to wait longer re-issue the poll with the same cursor.
 pub const MAX_STREAM_WAIT_MS: u32 = 30_000;
 
@@ -101,9 +112,17 @@ impl ServerConfig {
 /// threads until process exit; tests should always shut down.
 pub struct Server {
     addr: SocketAddr,
+    service: Arc<QueryService>,
     shutdown: Arc<AtomicBool>,
     accept: Option<JoinHandle<()>>,
-    conns: Arc<Mutex<Vec<JoinHandle<()>>>>,
+    conns: Arc<Mutex<Vec<Connection>>>,
+}
+
+/// A live connection: its handler thread, and a clone of its socket through
+/// which [`Server::shutdown`] ends a read the handler is blocked in.
+struct Connection {
+    handler: JoinHandle<()>,
+    socket: TcpStream,
 }
 
 impl Server {
@@ -115,49 +134,59 @@ impl Server {
     /// Bind an explicit address and start serving.
     pub fn bind(addr: &str, service: Arc<QueryService>, config: ServerConfig) -> io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let shutdown = Arc::new(AtomicBool::new(false));
-        let conns: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
+        let conns: Arc<Mutex<Vec<Connection>>> = Arc::new(Mutex::new(Vec::new()));
         let auth = Arc::new(AuthRegistry::new(config.tokens));
         let queue = config.write_queue_frames.max(1);
         let max_connections = config.max_connections.max(1);
 
         let accept = {
+            let service = Arc::clone(&service);
             let shutdown = Arc::clone(&shutdown);
             let conns = Arc::clone(&conns);
-            thread::spawn(move || {
-                while !shutdown.load(Ordering::Relaxed) {
-                    match listener.accept() {
-                        Ok((stream, _)) => {
-                            let mut conns = conns.lock().expect("connection registry poisoned"); // privid-analyzer: allow(panic-freedom) -- lock poisoning only follows a prior panic; propagating the crash is intended
-                            // Reap finished handlers on every accept: the
-                            // registry holds only live connections, so
-                            // neither handles nor threads grow with uptime.
-                            conns.retain(|handle| !handle.is_finished());
-                            if conns.len() >= max_connections {
-                                drop(conns);
-                                refuse_busy(stream);
-                                continue;
-                            }
-                            let service = Arc::clone(&service);
-                            let auth = Arc::clone(&auth);
-                            let flag = Arc::clone(&shutdown);
-                            let handle = thread::spawn(move || {
-                                // A connection failing is that connection's
-                                // problem; the server keeps serving.
-                                let _ = serve_connection(stream, service, auth, flag, queue);
-                            });
-                            conns.push(handle);
-                        }
-                        Err(e) if e.kind() == io::ErrorKind::WouldBlock => thread::sleep(TICK),
-                        Err(_) => thread::sleep(TICK),
-                    }
+            thread::spawn(move || loop {
+                let accepted = listener.accept();
+                // Shutdown wakes this `accept` with a connection of its own;
+                // it (and any peer racing it) is dropped unserved.
+                if shutdown.load(Ordering::Relaxed) {
+                    return;
                 }
+                let mut stream = match accepted {
+                    Ok((stream, _)) => stream,
+                    Err(_) => {
+                        thread::sleep(ACCEPT_ERROR_BACKOFF);
+                        continue;
+                    }
+                };
+                let Ok(socket) = stream.try_clone() else { continue };
+                let mut conns = conns.lock().expect("connection registry poisoned"); // privid-analyzer: allow(panic-freedom) -- lock poisoning only follows a prior panic; propagating the crash is intended
+                // Reap finished handlers on every accept: the registry holds
+                // only live connections, so neither handles nor threads grow
+                // with uptime.
+                conns.retain(|conn| !conn.handler.is_finished());
+                if conns.len() >= max_connections {
+                    drop(conns);
+                    refuse_busy(stream);
+                    continue;
+                }
+                let service = Arc::clone(&service);
+                let auth = Arc::clone(&auth);
+                let flag = Arc::clone(&shutdown);
+                let handler = thread::spawn(move || {
+                    // A connection failing is that connection's problem; the
+                    // server keeps serving.
+                    let _ = serve_connection(&mut stream, service, auth, flag, queue);
+                    // The registry's clone keeps the socket open until the
+                    // next accept reaps it; end it now so the peer sees the
+                    // close.
+                    let _ = stream.shutdown(Shutdown::Both);
+                });
+                conns.push(Connection { handler, socket });
             })
         };
 
-        Ok(Server { addr, shutdown, accept: Some(accept), conns })
+        Ok(Server { addr, service, shutdown, accept: Some(accept), conns })
     }
 
     /// The bound address (use with an ephemeral-port bind).
@@ -166,27 +195,47 @@ impl Server {
     }
 
     /// Stop accepting, wake every connection, and join all threads. In-flight
-    /// requests finish; idle connections close at their next tick.
+    /// requests finish and their responses are written; blocked reads and
+    /// parked long-polls answer the typed `SHUTTING_DOWN`.
     pub fn shutdown(mut self) {
         self.shutdown.store(true, Ordering::Relaxed);
         if let Some(accept) = self.accept.take() {
+            let _ = TcpStream::connect(wake_addr(self.addr));
             let _ = accept.join();
         }
-        let handles = {
+        self.service.wake_standing_waiters();
+        let conns = {
             let mut conns = self.conns.lock().expect("connection registry poisoned"); // privid-analyzer: allow(panic-freedom) -- lock poisoning only follows a prior panic; propagating the crash is intended
             std::mem::take(&mut *conns)
         };
-        for handle in handles {
-            let _ = handle.join();
+        // A read blocked on a socket whose read side is shut down returns
+        // end-of-file; writes, and so queued responses, are unaffected.
+        for conn in &conns {
+            let _ = conn.socket.shutdown(Shutdown::Read);
+        }
+        for conn in conns {
+            let _ = conn.handler.join();
         }
     }
+}
+
+/// Where [`Server::shutdown`] connects to wake the accept thread: the bound
+/// address, or loopback of the same family for a wildcard bind.
+fn wake_addr(addr: SocketAddr) -> SocketAddr {
+    let ip = match addr.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => IpAddr::V4(Ipv4Addr::LOCALHOST),
+        IpAddr::V6(ip) if ip.is_unspecified() => IpAddr::V6(Ipv6Addr::LOCALHOST),
+        ip => ip,
+    };
+    SocketAddr::new(ip, addr.port())
 }
 
 /// Refuse a connection accepted past the cap: one typed, retryable error
 /// frame, best-effort (a few dozen bytes into a fresh socket buffer — if
 /// even that fails, the close alone tells the peer), then drop. No handler
 /// or writer thread is ever spawned for a refused connection, and the whole
-/// refusal is bounded to a few ticks of the accept thread.
+/// refusal is bounded to a few [`BUSY_REFUSAL_IO_TIMEOUT`]s of the accept
+/// thread.
 fn refuse_busy(mut stream: TcpStream) {
     let busy = Response::Error(RemoteError {
         code: code::SERVER_BUSY,
@@ -195,15 +244,15 @@ fn refuse_busy(mut stream: TcpStream) {
     });
     let mut frame = Vec::new();
     if busy.encode(&mut frame).is_ok() {
-        let _ = stream.set_write_timeout(Some(TICK));
+        let _ = stream.set_write_timeout(Some(BUSY_REFUSAL_IO_TIMEOUT));
         if write_frame(&mut stream, &frame).is_ok() {
             // Signal end-of-stream, then briefly drain whatever the peer
             // already sent (typically its Hello). Closing with unread bytes
             // in the kernel buffer turns into an RST that can discard the
             // busy frame before the peer reads it — the drain is what makes
             // the refusal reliably *typed* rather than a reset.
-            let _ = stream.shutdown(std::net::Shutdown::Write);
-            let _ = stream.set_read_timeout(Some(TICK));
+            let _ = stream.shutdown(Shutdown::Write);
+            let _ = stream.set_read_timeout(Some(BUSY_REFUSAL_IO_TIMEOUT));
             let mut scratch = [0u8; 256];
             for _ in 0..2 {
                 match stream.read(&mut scratch) {
@@ -224,19 +273,18 @@ enum Done {
 }
 
 fn serve_connection(
-    mut stream: TcpStream,
+    stream: &mut TcpStream,
     service: Arc<QueryService>,
     auth: Arc<AuthRegistry>,
     shutdown: Arc<AtomicBool>,
     queue_frames: usize,
 ) -> Result<Done, FrameError> {
-    stream.set_read_timeout(Some(TICK))?;
     stream.set_nodelay(true)?;
     let write_half = stream.try_clone()?;
     let (tx, rx) = sync_channel::<Vec<u8>>(queue_frames);
     let writer = spawn_writer(write_half, rx);
 
-    let result = connection_loop(&mut stream, &service, &auth, &shutdown, &tx);
+    let result = connection_loop(stream, &service, &auth, &shutdown, &tx);
 
     // Close the queue, let the writer drain what was accepted, then join.
     drop(tx);
@@ -259,7 +307,7 @@ fn spawn_writer(mut stream: TcpStream, rx: Receiver<Vec<u8>>) -> JoinHandle<()> 
 
 /// Encode and enqueue one response. Blocks when the bounded queue is full —
 /// that *is* the backpressure. Returns `false` when the writer is gone.
-fn enqueue(tx: &SyncSender<Vec<u8>>, shutdown: &AtomicBool, resp: &Response) -> bool {
+fn enqueue(tx: &SyncSender<Vec<u8>>, resp: &Response) -> bool {
     let mut frame = Vec::new();
     if resp.encode(&mut frame).is_err() {
         // A response too large for the wire (e.g. a poll with a pathological
@@ -275,21 +323,7 @@ fn enqueue(tx: &SyncSender<Vec<u8>>, shutdown: &AtomicBool, resp: &Response) -> 
             return false;
         }
     }
-    // Bounded send with shutdown checks: try, and on a full queue wait a
-    // tick and re-check the flag rather than parking forever.
-    loop {
-        match tx.try_send(frame) {
-            Ok(()) => return true,
-            Err(TrySendError::Full(f)) => {
-                if shutdown.load(Ordering::Relaxed) {
-                    return false;
-                }
-                thread::sleep(TICK);
-                frame = f;
-            }
-            Err(TrySendError::Disconnected(_)) => return false,
-        }
-    }
+    tx.send(frame).is_ok()
 }
 
 fn connection_loop(
@@ -308,7 +342,7 @@ fn connection_loop(
             Ok(ReadFrame::Frame(op, payload)) => (op, payload),
             Ok(ReadFrame::Eof) => return Ok(Done::Closed),
             Ok(ReadFrame::Shutdown) => {
-                let _ = enqueue(tx, shutdown, &Response::Error(RemoteError {
+                let _ = enqueue(tx, &Response::Error(RemoteError {
                     code: code::SHUTTING_DOWN,
                     retryable: true,
                     message: "server shutting down".into(),
@@ -326,7 +360,7 @@ fn connection_loop(
                 // The frame layer was intact (we consumed exactly the
                 // advertised payload), so the stream is still synchronized:
                 // reply with the typed failure and keep serving.
-                let ok = enqueue(tx, shutdown, &Response::Error(RemoteError {
+                let ok = enqueue(tx, &Response::Error(RemoteError {
                     code: code::BAD_REQUEST,
                     retryable: false,
                     message: e.to_string(),
@@ -339,7 +373,7 @@ fn connection_loop(
         };
 
         let (response, close) = handle_request(service, auth, shutdown, &mut identity, &request);
-        if !enqueue(tx, shutdown, &response) || close {
+        if !enqueue(tx, &response) || close {
             return Ok(Done::Closed);
         }
     }
@@ -459,9 +493,9 @@ fn unknown_standing(name: &str) -> Response {
     remote(code::UNKNOWN_STANDING_QUERY, false, format!("no standing query named {name}"))
 }
 
-/// Long-poll: return as soon as a firing past `cursor` exists, else when
-/// `max_wait_ms` (clamped to [`MAX_STREAM_WAIT_MS`]) elapses (with whatever
-/// the final poll shows), else when the server shuts down.
+/// Long-poll: return as soon as a firing past `cursor` is recorded, else
+/// when `max_wait_ms` (clamped to [`MAX_STREAM_WAIT_MS`]) elapses, with an
+/// empty poll, else when the server shuts down.
 fn stream_firings(
     service: &QueryService,
     shutdown: &AtomicBool,
@@ -470,19 +504,13 @@ fn stream_firings(
     cursor: u64,
     max_wait_ms: u32,
 ) -> Response {
-    let wait_ms = max_wait_ms.min(MAX_STREAM_WAIT_MS);
-    let deadline = Instant::now() + Duration::from_millis(u64::from(wait_ms));
-    loop {
-        let Some(poll) = service.standing_results_since_as(tenant, name, cursor) else {
-            return unknown_standing(name);
-        };
-        if !poll.firings.is_empty() || Instant::now() >= deadline {
-            return Response::PollOk(WirePoll::from_core(&poll));
+    let wait = Duration::from_millis(u64::from(max_wait_ms.min(MAX_STREAM_WAIT_MS)));
+    match service.wait_standing_since_as(tenant, name, cursor, Instant::now() + wait, shutdown) {
+        None => unknown_standing(name),
+        Some(poll) if poll.firings.is_empty() && shutdown.load(Ordering::Relaxed) => {
+            remote(code::SHUTTING_DOWN, true, "server shutting down")
         }
-        if shutdown.load(Ordering::Relaxed) {
-            return remote(code::SHUTTING_DOWN, true, "server shutting down");
-        }
-        thread::sleep(TICK.min(deadline.saturating_duration_since(Instant::now())));
+        Some(poll) => Response::PollOk(WirePoll::from_core(&poll)),
     }
 }
 

@@ -435,8 +435,9 @@ fn connection_cap_refuses_with_typed_busy_and_reaps_finished_handlers() {
     assert_eq!(busy.remote_code(), Some(code::SERVER_BUSY));
 
     // Freed connections are reaped (on the accept path), so capacity comes
-    // back without a restart. The handlers notice the closed sockets within
-    // a tick; retry until the sweep has run.
+    // back without a restart. Each handler's blocked read returns end-of-file
+    // as soon as its peer closes; retry until an accept's sweep finds the
+    // handlers finished.
     drop(c1);
     drop(c2);
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
@@ -520,4 +521,88 @@ fn clean_shutdown_joins_every_thread_and_refuses_stragglers() {
     assert!(outcome.is_err(), "pinging a shut-down server must fail, got {outcome:?}");
     // And new connections are refused.
     assert!(PrividClient::connect(&addr, "analyst-a-secret").is_err());
+}
+
+#[test]
+fn a_parked_long_poll_is_woken_by_the_append_that_closes_a_window() {
+    let served = base_service();
+    let server = start_server(Arc::clone(&served));
+    let addr = server.addr().to_string();
+    let mut owner = PrividClient::connect(&addr, "owner-secret").expect("owner connect");
+    owner.register_live_camera("live", 2.0, 100, 100, 20.0, 2, 10.0).expect("live registration");
+    let mut analyst = PrividClient::connect(&addr, "analyst-a-secret").expect("analyst connect");
+    analyst.register_standing("watch", 3, LIVE_QUERY).expect("standing registration");
+
+    let started = std::time::Instant::now();
+    let streamed = std::thread::scope(|scope| {
+        let parked = scope.spawn(move || analyst.stream_firings("watch", 0, 30_000));
+        // Give the poll time to park; the append that closes [0, 120) must
+        // then wake it, whichever came first.
+        std::thread::sleep(std::time::Duration::from_millis(100));
+        let (_, fired) = owner
+            .append_frames("live", 120.0, vec![WalkerSpec { id: 1, class: WalkerClass::Person, start_secs: 5.0, end_secs: 40.0 }])
+            .expect("append closing window 0");
+        assert_eq!(fired, 1);
+        parked.join().expect("long-poll thread").expect("stream")
+    });
+    assert!(
+        started.elapsed() < std::time::Duration::from_secs(10),
+        "the firing must wake the long-poll long before its 30 s wait, took {:?}",
+        started.elapsed()
+    );
+    assert_eq!(streamed.next_cursor, 1);
+    assert_eq!(streamed.firings.len(), 1);
+
+    // The in-process twin fires the same window from the same footage.
+    let direct = base_service();
+    direct.register_live_camera_like_wire();
+    direct.append_direct(120.0, 1, 5.0, 40.0);
+    let direct_result = direct.execute_text(3, LIVE_QUERY).expect("direct standing window");
+    match &streamed.firings[0].result {
+        Ok(result) => {
+            assert_eq!(result, &direct_result, "streamed firing must match in-process bits");
+            for (w, d) in result.releases.iter().zip(&direct_result.releases) {
+                if let (NoisyValue::Number(a), NoisyValue::Number(b)) = (&w.value, &d.value) {
+                    assert_eq!(a.to_bits(), b.to_bits(), "noised release must match bit-for-bit");
+                }
+            }
+        }
+        Err(e) => panic!("firing failed: {e}"),
+    }
+    server.shutdown();
+}
+
+#[test]
+fn shutdown_wakes_parked_long_polls_and_idle_connections_promptly() {
+    let served = base_service();
+    let server = start_server(Arc::clone(&served));
+    let addr = server.addr().to_string();
+    let mut owner = PrividClient::connect(&addr, "owner-secret").expect("owner connect");
+    owner.register_live_camera("live", 2.0, 100, 100, 20.0, 2, 10.0).expect("live registration");
+    let mut analyst = PrividClient::connect(&addr, "analyst-a-secret").expect("analyst connect");
+    analyst.register_standing("watch", 3, LIVE_QUERY).expect("standing registration");
+    // An authenticated connection idle in the server's blocking read.
+    let mut idle = PrividClient::connect(&addr, "analyst-b-secret").expect("idle connect");
+    idle.ping(1).expect("idle connection is live");
+
+    let parked = std::thread::spawn(move || analyst.stream_firings("watch", 0, 30_000));
+    std::thread::sleep(std::time::Duration::from_millis(100));
+    // Shut down on a helper thread so a shutdown that waits the blocked
+    // threads out fails this test instead of hanging it.
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        server.shutdown();
+        let _ = done_tx.send(());
+    });
+    done_rx
+        .recv_timeout(std::time::Duration::from_secs(2))
+        .expect("shutdown must wake blocked threads within 2 s, not wait them out");
+    let outcome = parked.join().expect("long-poll thread");
+    assert_eq!(
+        outcome.as_ref().err().and_then(|e| e.remote_code()),
+        Some(code::SHUTTING_DOWN),
+        "the parked caller gets the typed shutdown code, got {outcome:?}"
+    );
+    assert!(idle.ping(2).is_err(), "the idle connection was closed");
+    assert!(PrividClient::connect(&addr, "analyst-a-secret").is_err(), "new connections are refused");
 }
