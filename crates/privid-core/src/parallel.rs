@@ -12,13 +12,17 @@
 //! Workers pull chunk indices from a shared atomic counter (cheap dynamic
 //! load balancing; chunk cost varies with scene density) and keep two
 //! reusable [`ChunkBuffer`]s each, so steady-state execution performs no
-//! per-chunk allocation beyond the output rows themselves. Only
-//! `std::thread::scope` and atomics are used — no external runtime.
+//! per-chunk allocation beyond the output rows themselves. A buffer's
+//! per-object bookkeeping is a dense slot vector indexed by scene object
+//! (4 B per object, grown once to the scene's size), so refilling it per
+//! chunk hashes nothing. Only `std::thread::scope` and atomics are used —
+//! no external runtime.
 
 use privid_sandbox::{run_chunk, ProcessorFactory, SandboxSpec, SandboxedOutput};
 use privid_video::{BoundingBox, ChunkBuffer, ChunkPlan, RegionScheme};
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 /// Maximum workers `Parallelism::Auto` will spawn.
 const MAX_AUTO_WORKERS: usize = 8;
@@ -47,7 +51,12 @@ impl Parallelism {
             Parallelism::Serial => 1,
             Parallelism::Fixed(n) => (*n).max(1),
             Parallelism::Auto => {
-                std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4).min(MAX_AUTO_WORKERS)
+                // `available_parallelism` reads the cgroup quota files on
+                // every call; resolve it once per process.
+                static AUTO_WORKERS: OnceLock<usize> = OnceLock::new();
+                *AUTO_WORKERS.get_or_init(|| {
+                    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4).min(MAX_AUTO_WORKERS)
+                })
             }
         };
         wanted.min(chunk_count.max(1))

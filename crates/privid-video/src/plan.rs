@@ -5,8 +5,9 @@
 //! owned [`Chunk`] — convenient, but each chunk deep-clones the camera name
 //! and every observed object's attributes, and spatial splitting used to
 //! clone the whole chunk *again* per region. The paper's executor instead
-//! streams chunks to workers; chunk processing dominates query latency, so
-//! those clones sit squarely on the hot path.
+//! streams chunks to workers, and in this system materializing a chunk costs
+//! far more than the analyst's processor does with it, so this is the hot
+//! path of every cold query.
 //!
 //! This module provides the streaming alternative:
 //!
@@ -16,13 +17,17 @@
 //! * [`ChunkBuffer`] — reusable scratch storage for one materialized chunk
 //!   (flat observation array, per-frame ranges, per-object records). A worker
 //!   keeps one buffer and refills it per chunk, so steady-state chunk
-//!   materialization performs no allocation.
+//!   materialization performs no allocation. It also hashes nothing: the
+//!   scene's segment index yields each observation's object index, and a
+//!   dense slot vector indexed by it finds the object's record, so an
+//!   observation costs two array accesses instead of two id lookups.
 //! * [`ChunkView`] — a borrowed, `Copy` view of one materialized chunk.
 //!   The camera name is borrowed, object attributes are resolved by index
 //!   into the scene (never cloned), and
 //!   [`ChunkView::restrict_into`] produces a region-filtered view by
 //!   compact-copying `Copy` observation records into a second reused buffer —
-//!   no deep clone.
+//!   no deep clone — and keeps the records it observed, found by binary
+//!   search over the id-sorted source records.
 //!
 //! Object iteration order is sorted by [`ObjectId`], which makes per-chunk row
 //! order deterministic (the owned `Chunk` stores objects in a `HashMap`, whose
@@ -35,7 +40,6 @@ use crate::geometry::{BoundingBox, Mask};
 use crate::object::{Attributes, ObjectClass, ObjectId, Observation, TrackedObject};
 use crate::scene::Scene;
 use crate::time::{TimeSpan, Timestamp};
-use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
 /// The attributes returned for an object the view cannot resolve (never the
@@ -52,9 +56,10 @@ enum AttrSlot {
     Scene(u32),
     /// Index into the buffer's local attribute pool (owned-`Chunk` loading).
     Local(u32),
-    /// Unresolvable; falls back to the shared default.
-    Unknown,
 }
+
+/// An empty entry of [`ChunkBuffer::slots`].
+const NO_SLOT: u32 = u32::MAX;
 
 /// One frame of a materialized chunk: a timestamp plus a range into the
 /// buffer's flat observation array.
@@ -90,8 +95,10 @@ pub struct ChunkBuffer {
     frames: Vec<FrameRecord>,
     observations: Vec<Observation>,
     objects: Vec<ObjectRecord>,
-    /// Object id → index into `objects`, valid only while filling.
-    slots: HashMap<ObjectId, usize>,
+    /// Dense scratch, [`NO_SLOT`] everywhere between fills. While
+    /// materializing it maps a scene object index to the object's position
+    /// in `objects`; while restricting, it marks source records.
+    slots: Vec<u32>,
     /// Attribute pool for chunks loaded from an owned [`Chunk`] (tests and
     /// compatibility paths); empty for scene-materialized chunks.
     local_attrs: Vec<Attributes>,
@@ -105,39 +112,48 @@ impl ChunkBuffer {
         ChunkBuffer::default()
     }
 
-    /// Clear all per-chunk state, retaining capacity.
+    /// Clear all per-chunk state, retaining capacity. `slots` is already
+    /// empty: every fill releases the slots it took.
     fn clear(&mut self) {
         self.frames.clear();
         self.observations.clear();
         self.objects.clear();
-        self.slots.clear();
         self.local_attrs.clear();
         self.camera = None;
     }
 
-    /// Record one observation (already appended to `self.observations`) into
-    /// the per-object metadata. `frame_pos` is the frame's position within the
-    /// chunk; `attr` says where the object's attributes can be found.
-    fn note_observation(&mut self, frame_pos: usize, obs: Observation, attr: AttrSlot) {
+    /// Record one observation of the scene object with canonical index
+    /// `oi` into the per-object metadata. `frame_pos` is the frame's
+    /// position within the chunk. `slots` must cover `oi`.
+    fn note_observation(&mut self, frame_pos: usize, oi: u32, obs: Observation) {
         let center_y = obs.bbox.center().y;
-        match self.slots.get(&obs.object_id) {
-            Some(&i) => {
-                let rec = &mut self.objects[i]; // privid-analyzer: allow(panic-freedom) -- slots maps object ids to indices this struct itself pushed into objects
-                rec.last_seen = obs.timestamp;
-                rec.net_dy = center_y - rec.first_center_y;
-            }
-            None => {
-                self.slots.insert(obs.object_id, self.objects.len());
-                self.objects.push(ObjectRecord {
-                    id: obs.object_id,
-                    class: obs.class,
-                    attr,
-                    visible_in_first_frame: frame_pos == 0,
-                    first_seen: obs.timestamp,
-                    last_seen: obs.timestamp,
-                    net_dy: 0.0,
-                    first_center_y: center_y,
-                });
+        let slot = &mut self.slots[oi as usize]; // privid-analyzer: allow(panic-freedom) -- materialize_into grows slots to the scene's object count before visiting, and oi is a scene object index
+        if *slot == NO_SLOT {
+            *slot = self.objects.len() as u32;
+            self.objects.push(ObjectRecord {
+                id: obs.object_id,
+                class: obs.class,
+                attr: AttrSlot::Scene(oi),
+                visible_in_first_frame: frame_pos == 0,
+                first_seen: obs.timestamp,
+                last_seen: obs.timestamp,
+                net_dy: 0.0,
+                first_center_y: center_y,
+            });
+        } else {
+            let rec = &mut self.objects[*slot as usize]; // privid-analyzer: allow(panic-freedom) -- a taken slot holds the position this fill pushed its record at
+            rec.last_seen = obs.timestamp;
+            rec.net_dy = center_y - rec.first_center_y;
+        }
+    }
+
+    /// Release the slots this fill took, leaving `slots` empty again.
+    fn release_slots(&mut self) {
+        for r in &self.objects {
+            if let AttrSlot::Scene(oi) = r.attr {
+                if let Some(slot) = self.slots.get_mut(oi as usize) {
+                    *slot = NO_SLOT;
+                }
             }
         }
     }
@@ -291,13 +307,20 @@ impl<'v> ChunkView<'v> {
         'v: 'b,
     {
         buf.clear();
+        if buf.slots.len() < self.objects.len() {
+            buf.slots.resize(self.objects.len(), NO_SLOT);
+        }
         for f in self.frames {
             let obs_start = buf.observations.len();
             // privid-analyzer: allow(panic-freedom) -- frame ranges are recorded as observations is appended; they never exceed its final length
             for obs in &self.observations[f.obs_start..f.obs_end] {
                 if region.contains_point(obs.bbox.center()) {
                     buf.observations.push(*obs);
-                    buf.slots.insert(obs.object_id, 0);
+                    // Records are sorted by id with one per id: mark the
+                    // observed object's record by its position.
+                    if let Ok(pos) = self.objects.binary_search_by_key(&obs.object_id, |r| r.id) {
+                        buf.slots[pos] = 0; // privid-analyzer: allow(panic-freedom) -- slots was grown to cover every position of self.objects above
+                    }
                 }
             }
             buf.frames.push(FrameRecord {
@@ -308,8 +331,9 @@ impl<'v> ChunkView<'v> {
             });
         }
         // Source records are already sorted by id; retaining preserves order.
-        for r in self.objects {
-            if buf.slots.contains_key(&r.id) {
+        for (r, mark) in self.objects.iter().zip(buf.slots.iter_mut()) {
+            if *mark != NO_SLOT {
+                *mark = NO_SLOT;
                 buf.objects.push(*r);
             }
         }
@@ -368,7 +392,6 @@ fn resolve_attr<'v>(
     match slot {
         AttrSlot::Scene(i) => scene_objects.get(i as usize).map(|o| &o.attributes).unwrap_or_else(|| default_attributes()),
         AttrSlot::Local(i) => local_attrs.get(i as usize).unwrap_or_else(|| default_attributes()),
-        AttrSlot::Unknown => default_attributes(),
     }
 }
 
@@ -504,6 +527,10 @@ impl<'a> ChunkPlan<'a> {
     pub fn materialize_into<'v>(&'v self, index: usize, buf: &'v mut ChunkBuffer) -> ChunkView<'v> {
         let span = self.spans[index]; // privid-analyzer: allow(panic-freedom) -- documented contract: index < chunk_count(), upheld by the executor's chunk loop
         buf.clear();
+        // A live scene's object list grows between calls; the slots grow with it.
+        if buf.slots.len() < self.scene.objects.len() {
+            buf.slots.resize(self.scene.objects.len(), NO_SLOT);
+        }
         let dt = self.scene.frame_rate.frame_duration();
         let n_frames = (span.duration() / dt).ceil().max(1.0) as u64;
         for fi in 0..n_frames {
@@ -512,15 +539,10 @@ impl<'a> ChunkPlan<'a> {
                 break;
             }
             let obs_start = buf.observations.len();
-            self.scene.observations_at_masked_into(t, self.mask, &mut buf.observations);
-            for oi in obs_start..buf.observations.len() {
-                let obs = buf.observations[oi]; // privid-analyzer: allow(panic-freedom) -- oi ranges over obs_start..len() of the same buffer
-                let attr = match self.scene.object_index(obs.object_id) {
-                    Some(i) => AttrSlot::Scene(i as u32),
-                    None => AttrSlot::Unknown,
-                };
-                buf.note_observation(fi as usize, obs, attr);
-            }
+            self.scene.visit_observations_at(t, self.mask, |oi, obs| {
+                buf.observations.push(obs);
+                buf.note_observation(fi as usize, oi, obs);
+            });
             buf.frames.push(FrameRecord {
                 index_in_chunk: fi,
                 timestamp: t,
@@ -528,6 +550,7 @@ impl<'a> ChunkPlan<'a> {
                 obs_end: buf.observations.len(),
             });
         }
+        buf.release_slots();
         buf.finish();
         ChunkView {
             index: index as u64,
@@ -546,8 +569,10 @@ impl<'a> ChunkPlan<'a> {
 mod tests {
     use super::*;
     use crate::chunk::split_scene;
-    use crate::geometry::{FrameSize, Point};
+    use crate::generator::{SceneConfig, SceneGenerator};
+    use crate::geometry::{FrameSize, GridSpec, Point};
     use crate::object::{Attributes, ObjectClass, PresenceSegment};
+    use crate::recording::{FrameBatch, Recording};
     use crate::scene::CameraId;
     use crate::time::FrameRate;
     use crate::trajectory::Trajectory;
@@ -565,10 +590,10 @@ mod tests {
         Scene::new(CameraId::new("cam"), TimeSpan::from_secs(60.0), FrameRate::new(2.0), FrameSize::new(100, 100), vec![obj])
     }
 
-    /// The pre-plan `split_scene` algorithm, kept verbatim as an independent
-    /// reference: `split_scene` itself is now a wrapper over `ChunkPlan`, so
-    /// comparing against it would be circular.
-    fn reference_split(scene: &Scene, window: &TimeSpan, spec: &ChunkSpec) -> Vec<Chunk> {
+    /// The pre-plan `split_scene` algorithm, kept verbatim (plus the mask) as
+    /// an independent reference: `split_scene` itself is now a wrapper over
+    /// `ChunkPlan`, so comparing against it would be circular.
+    fn reference_split(scene: &Scene, window: &TimeSpan, spec: &ChunkSpec, mask: Option<&Mask>) -> Vec<Chunk> {
         use crate::chunk::Frame;
         use std::collections::HashMap;
         let dt = scene.frame_rate.frame_duration();
@@ -582,7 +607,7 @@ mod tests {
                     if !span.contains(t) {
                         break;
                     }
-                    frames.push(Frame { index_in_chunk: fi, timestamp: t, observations: scene.observations_at(t) });
+                    frames.push(Frame { index_in_chunk: fi, timestamp: t, observations: scene.observations_at_masked(t, mask) });
                 }
                 let mut objects: HashMap<ObjectId, ChunkObjectInfo> = HashMap::new();
                 let mut first_centers: HashMap<ObjectId, f64> = HashMap::new();
@@ -620,7 +645,7 @@ mod tests {
         let scene = scene_with_one_walker(10.0);
         let window = TimeSpan::from_secs(20.0);
         let spec = ChunkSpec::contiguous(5.0);
-        let reference = reference_split(&scene, &window, &spec);
+        let reference = reference_split(&scene, &window, &spec, None);
         let plan = ChunkPlan::new(&scene, &window, &spec, None);
         assert_eq!(plan.len(), reference.len());
         let mut buf = ChunkBuffer::new();
@@ -633,6 +658,172 @@ mod tests {
         }
         // And the public eager wrapper agrees too.
         assert_eq!(split_scene(&scene, &window, &spec, None), reference);
+    }
+
+    #[test]
+    fn masked_plan_matches_independent_reference_split() {
+        let scene = SceneGenerator::new(SceneConfig::campus().with_duration_hours(0.1)).generate();
+        // The left half of the frame: people crossing it vanish mid-chunk.
+        let grid = GridSpec::coarse(scene.frame_size);
+        let mask = Mask::from_cells(grid, (0..12).flat_map(|c| (0..14).map(move |r| (c, r))));
+        let window = TimeSpan::from_secs(360.0);
+        let spec = ChunkSpec::contiguous(7.0);
+        let reference = reference_split(&scene, &window, &spec, Some(&mask));
+        let unmasked = reference_split(&scene, &window, &spec, None);
+        let count = |chunks: &[Chunk]| chunks.iter().map(Chunk::observation_count).sum::<usize>();
+        assert!(count(&reference) < count(&unmasked), "the mask must hide something");
+        let plan = ChunkPlan::new(&scene, &window, &spec, Some(&mask));
+        assert_eq!(plan.len(), reference.len());
+        let mut buf = ChunkBuffer::new();
+        for (i, chunk) in reference.iter().enumerate() {
+            assert_eq!(&plan.materialize_into(i, &mut buf).to_chunk(), chunk, "masked chunk {i}");
+        }
+    }
+
+    type FrameDigest = (u64, Timestamp, Vec<Observation>);
+    type ObjectDigest = (ObjectId, ObjectClass, bool, Timestamp, Timestamp, u64, *const Attributes);
+
+    /// Everything a processor can see of a view, with attributes by address
+    /// (so a digest also proves which scene object they were borrowed from).
+    fn digest(view: &ChunkView<'_>) -> (u64, TimeSpan, Vec<FrameDigest>, Vec<ObjectDigest>) {
+        let frames = view.frames().map(|f| (f.index_in_chunk, f.timestamp, f.observations().to_vec())).collect();
+        let objects = view
+            .objects()
+            .map(|o| {
+                let attributes: *const Attributes = o.attributes();
+                (o.id, o.class, o.visible_in_first_frame, o.first_seen, o.last_seen, o.net_dy.to_bits(), attributes)
+            })
+            .collect();
+        (view.index(), view.span(), frames, objects)
+    }
+
+    fn fresh_digest(plan: &ChunkPlan<'_>, index: usize) -> (u64, TimeSpan, Vec<FrameDigest>, Vec<ObjectDigest>) {
+        digest(&plan.materialize_into(index, &mut ChunkBuffer::new()))
+    }
+
+    #[test]
+    fn a_reused_buffer_matches_fresh_buffers_across_scenes() {
+        let big = SceneGenerator::new(SceneConfig::campus().with_duration_hours(0.2)).generate();
+        let small = SceneGenerator::new(SceneConfig::campus().with_duration_hours(0.05).with_seed(7)).generate();
+        assert!(big.objects.len() > small.objects.len());
+        let spec = ChunkSpec::contiguous(10.0);
+        let big_plan = ChunkPlan::new(&big, &TimeSpan::from_secs(180.0), &spec, None);
+        let small_plan = ChunkPlan::new(&small, &TimeSpan::from_secs(180.0), &spec, None);
+        // Small first, so the buffer's slots grow mid-sequence and then
+        // serve the small scene with spare length.
+        let mut buf = ChunkBuffer::new();
+        for i in 0..small_plan.len() {
+            for plan in [&small_plan, &big_plan] {
+                let reused = digest(&plan.materialize_into(i, &mut buf));
+                assert_eq!(reused, fresh_digest(plan, i), "chunk {i}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_reused_buffer_follows_a_growing_recording() {
+        let source = SceneGenerator::new(SceneConfig::campus().with_duration_hours(0.1)).generate();
+        let batch = |from: f64, to: f64| {
+            let objects = source
+                .objects
+                .iter()
+                .filter(|o| o.first_seen().is_some_and(|t| t.as_secs() >= from && t.as_secs() < to))
+                .cloned()
+                .collect();
+            FrameBatch::new(to - from, objects)
+        };
+        let spec = ChunkSpec::contiguous(10.0);
+        let mut recording = Recording::start(source.camera.clone(), source.frame_rate, source.frame_size);
+        recording.append_batch(batch(0.0, 180.0)).unwrap();
+        let before = recording.scene().objects.len();
+        let mut buf = ChunkBuffer::new();
+        {
+            let plan = recording.plan(&spec);
+            for i in 0..plan.len() {
+                assert_eq!(digest(&plan.materialize_into(i, &mut buf)), fresh_digest(&plan, i), "chunk {i} before");
+            }
+        }
+        recording.append_batch(batch(180.0, 360.0)).unwrap();
+        assert!(recording.scene().objects.len() > before, "the batch must bring new objects");
+        let plan = recording.plan(&spec);
+        // Newest chunks first: they observe the objects past the old slots.
+        for i in (0..plan.len()).rev() {
+            assert_eq!(digest(&plan.materialize_into(i, &mut buf)), fresh_digest(&plan, i), "chunk {i} after");
+        }
+    }
+
+    #[test]
+    fn duplicate_object_ids_materialize_as_one_record() {
+        let mover = |id: u64, class: ObjectClass, plate: &str, span: TimeSpan, from: Point, to: Point| {
+            TrackedObject::new(
+                ObjectId(id),
+                class,
+                Attributes { plate: plate.into(), ..Attributes::default() },
+                vec![PresenceSegment { span, trajectory: Trajectory::linear(from, to, 5.0, 10.0) }],
+            )
+        };
+        let first = mover(5, ObjectClass::Person, "first", TimeSpan::between_secs(0.0, 10.0), Point::new(0.0, 50.0), Point::new(100.0, 50.0));
+        let other = mover(3, ObjectClass::Person, "other", TimeSpan::between_secs(2.0, 4.0), Point::new(10.0, 10.0), Point::new(20.0, 10.0));
+        let second = mover(5, ObjectClass::Car, "second", TimeSpan::between_secs(5.0, 15.0), Point::new(50.0, 80.0), Point::new(50.0, 20.0));
+        let scene_of = |objects| Scene::new(CameraId::new("cam"), TimeSpan::from_secs(60.0), FrameRate::new(2.0), FrameSize::new(100, 100), objects);
+        let scene = scene_of(vec![first.clone(), other.clone(), second.clone()]);
+        let plan = ChunkPlan::new(&scene, &TimeSpan::from_secs(20.0), &ChunkSpec::contiguous(20.0), None);
+        let mut buf = ChunkBuffer::new();
+        let view = plan.materialize_into(0, &mut buf);
+
+        // Every observation is kept: both objects are seen in [5, 10), in
+        // scene order, under their shared id.
+        assert_eq!(view.observation_count(), 20 + 4 + 20);
+        let at_6: Vec<_> = view.frames().nth(12).unwrap().observations().iter().map(|o| (o.object_id, o.class)).collect();
+        assert_eq!(at_6, vec![(ObjectId(5), ObjectClass::Person), (ObjectId(5), ObjectClass::Car)]);
+        // One record per id, in id order. The shared id's record takes its
+        // class from the first observation and its attributes from the last
+        // object with the id, the one `object_index` resolves to.
+        assert_eq!(view.observed_object_ids(), vec![ObjectId(3), ObjectId(5)]);
+        assert_eq!(scene.object_index(ObjectId(5)), Some(2));
+        let shared = view.objects().nth(1).unwrap();
+        assert_eq!(shared.class, ObjectClass::Person);
+        assert!(std::ptr::eq(shared.attributes(), &scene.objects[2].attributes));
+        assert!(shared.visible_in_first_frame);
+        assert_eq!(shared.first_seen, Timestamp::from_secs(0.0));
+        assert_eq!(shared.last_seen, Timestamp::from_secs(14.5));
+        let y_at = |oi: usize, t: f64| scene.objects[oi].segments[0].bbox_at(Timestamp::from_secs(t)).unwrap().center().y;
+        assert_eq!(shared.net_dy.to_bits(), (y_at(2, 14.5) - y_at(0, 0.0)).to_bits());
+
+        // Appending the duplicate later re-points the earlier object's
+        // index entries, so the extended scene materializes identically.
+        let mut extended = scene_of(vec![first, other]);
+        extended.extend(Timestamp::from_secs(60.0), vec![second]);
+        let extended_plan = ChunkPlan::new(&extended, &TimeSpan::from_secs(20.0), &ChunkSpec::contiguous(20.0), None);
+        assert_eq!(extended_plan.materialize_into(0, &mut ChunkBuffer::new()).to_chunk(), view.to_chunk());
+    }
+
+    #[test]
+    fn restrict_on_a_reused_buffer_equals_filtering_the_owned_chunk() {
+        let scene = SceneGenerator::new(SceneConfig::campus().with_duration_hours(0.1)).generate();
+        let (w, h) = (scene.frame_size.width as f64, scene.frame_size.height as f64);
+        let regions = [
+            BoundingBox::new(0.0, 0.0, w / 2.0, h),
+            BoundingBox::new(w / 2.0, 0.0, w / 2.0, h),
+            BoundingBox::new(w / 4.0, h / 4.0, w / 2.0, h / 2.0),
+            BoundingBox::new(0.0, 0.0, 0.0, 0.0),
+        ];
+        let plan = ChunkPlan::new(&scene, &TimeSpan::from_secs(360.0), &ChunkSpec::contiguous(10.0), None);
+        let mut buf = ChunkBuffer::new();
+        let mut region_buf = ChunkBuffer::new();
+        for i in 0..plan.len() {
+            let view = plan.materialize_into(i, &mut buf);
+            let whole = view.to_chunk();
+            for region in &regions {
+                let mut expected = whole.clone();
+                for frame in &mut expected.frames {
+                    frame.observations.retain(|o| region.contains_point(o.bbox.center()));
+                }
+                let kept = expected.observed_object_ids();
+                expected.objects.retain(|id, _| kept.contains(id));
+                assert_eq!(view.restrict_into(region, &mut region_buf).to_chunk(), expected, "chunk {i}, region {region:?}");
+            }
+        }
     }
 
     #[test]

@@ -9,7 +9,11 @@
 //!
 //! Scenes carry a coarse time-bucketed index over presence segments so that
 //! materializing a frame only inspects objects present in that minute of
-//! video instead of every object in a 12-hour recording.
+//! video instead of every object in a 12-hour recording. Each index entry
+//! also carries the object's canonical index (the one [`Scene::object_index`]
+//! returns for its id), and the crate-private observation visitor hands it to
+//! chunk materialization, which keys its per-object records by it instead of
+//! hashing the observation's id.
 
 use crate::geometry::{FrameSize, Mask, RegionScheme};
 use crate::object::{ObjectId, Observation, TrackedObject};
@@ -47,6 +51,17 @@ impl std::fmt::Display for CameraId {
 /// Width of one index bucket in seconds.
 const BUCKET_SECS: f64 = 60.0;
 
+/// One segment-index entry: object index and segment index, plus the
+/// object's canonical index — `by_id`'s entry for its id. The two object
+/// indices differ only in a scene with duplicate ids (which [`Scene::new`]
+/// accepts), where every object sharing an id resolves to the last one.
+#[derive(Debug, Clone, Copy)]
+struct IndexEntry {
+    object: u32,
+    segment: u32,
+    canonical: u32,
+}
+
 /// The ground-truth contents of one camera's recording.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Scene {
@@ -63,14 +78,13 @@ pub struct Scene {
     /// Optional spatial-splitting schemes published by the video owner (§7.2),
     /// keyed by scheme name.
     pub region_schemes: HashMap<String, RegionScheme>,
-    /// Time-bucketed index: bucket number → (object index, segment index)
-    /// pairs whose segment overlaps that bucket. Rebuilt on construction and
-    /// skipped during serialization.
+    /// Time-bucketed index: bucket number → entries for the segments that
+    /// overlap that bucket. Rebuilt on construction and skipped during
+    /// serialization.
     #[serde(skip)]
-    index: HashMap<i64, Vec<(u32, u32)>>,
-    /// Object id → index into `objects`. Rebuilt alongside `index`; lets the
-    /// chunking hot path resolve an observation's attributes without scanning
-    /// the whole object list.
+    index: HashMap<i64, Vec<IndexEntry>>,
+    /// Object id → index into `objects` (the last object with that id).
+    /// Rebuilt alongside `index`.
     #[serde(skip)]
     by_id: HashMap<ObjectId, u32>,
 }
@@ -111,7 +125,16 @@ impl Scene {
     /// Index one object's segments (and its id), by object index.
     fn index_object(&mut self, oi: usize) {
         let obj = &self.objects[oi]; // privid-analyzer: allow(panic-freedom) -- callers iterate 0..objects.len()
-        self.by_id.insert(obj.id, oi as u32);
+        let oi = oi as u32;
+        if let Some(previous) = self.by_id.insert(obj.id, oi) {
+            // A duplicate id: the objects already indexed under it now
+            // resolve to this one, as `object_index` does.
+            for entry in self.index.values_mut().flatten() {
+                if entry.canonical == previous {
+                    entry.canonical = oi;
+                }
+            }
+        }
         let buckets: Vec<(i64, i64, u32)> = obj
             .segments
             .iter()
@@ -124,7 +147,7 @@ impl Scene {
             .collect();
         for (b0, b1, si) in buckets {
             for b in b0..=b1 {
-                self.index.entry(b).or_default().push((oi as u32, si));
+                self.index.entry(b).or_default().push(IndexEntry { object: oi, segment: si, canonical: oi });
             }
         }
     }
@@ -189,21 +212,30 @@ impl Scene {
     /// trajectory (delivered early by a live [`crate::Recording`] batch, or
     /// overhanging a generated scene's end) extends past it.
     pub fn observations_at_masked_into(&self, t: Timestamp, mask: Option<&Mask>, out: &mut Vec<Observation>) {
+        self.visit_observations_at(t, mask, |_, obs| out.push(obs));
+    }
+
+    /// Call `visit(canonical, observation)` for each (masked) observation at
+    /// a timestamp, in index order; `canonical` is the observed object's
+    /// [`Scene::object_index`], read from the segment index rather than
+    /// looked up by id. Chunk materialization keys its per-object records
+    /// by it.
+    pub(crate) fn visit_observations_at(&self, t: Timestamp, mask: Option<&Mask>, mut visit: impl FnMut(u32, Observation)) {
         if !self.span.contains(t) {
             return;
         }
         let bucket = (t.as_secs() / BUCKET_SECS).floor() as i64;
         let Some(entries) = self.index.get(&bucket) else { return };
-        for &(oi, si) in entries {
-            let obj = &self.objects[oi as usize]; // privid-analyzer: allow(panic-freedom) -- index entries are minted from enumerate over objects/segments and rebuilt on every mutation
-            let seg = &obj.segments[si as usize]; // privid-analyzer: allow(panic-freedom) -- same proof: (oi, si) minted from enumerate
+        for entry in entries {
+            let obj = &self.objects[entry.object as usize]; // privid-analyzer: allow(panic-freedom) -- index entries are minted from enumerate over objects/segments and rebuilt on every mutation
+            let seg = &obj.segments[entry.segment as usize]; // privid-analyzer: allow(panic-freedom) -- same proof: (object, segment) minted from enumerate
             if let Some(bbox) = seg.bbox_at(t) {
                 if let Some(m) = mask {
                     if m.hides(&bbox) {
                         continue;
                     }
                 }
-                out.push(Observation { object_id: obj.id, class: obj.class, bbox, timestamp: t });
+                visit(entry.canonical, Observation { object_id: obj.id, class: obj.class, bbox, timestamp: t });
             }
         }
     }

@@ -3,8 +3,9 @@
 //! the engine merges sandboxed outputs in deterministic (chunk, region) order
 //! before budget accounting and noise are applied.
 
+use privid::video::{BoundingBox, Region, RegionBoundary, RegionScheme};
 use privid::{
-    ChunkProcessor, Parallelism, PrivacyPolicy, PrividSystem, Scene, SceneConfig, SceneGenerator,
+    ChunkProcessor, GridSpec, Mask, MaskPolicy, Parallelism, PrivacyPolicy, PrividSystem, Scene, SceneConfig, SceneGenerator,
     UniqueEntrantProcessor,
 };
 
@@ -81,5 +82,101 @@ fn empty_window_processes_zero_chunks_at_any_parallelism() {
         let result = system(3, parallelism).execute(&query).unwrap();
         assert_eq!(result.chunks_processed, 0);
         assert_eq!(result.releases.len(), 1, "COUNT over an empty table still releases (noisy) zero");
+    }
+}
+
+/// The recording the golden-bits test queries: six hours of the campus
+/// preset at its default seed.
+fn campus_6h() -> Scene {
+    SceneGenerator::new(SceneConfig::campus().with_duration_hours(6.0)).generate()
+}
+
+/// `(raw, noisy)` release values as `f64::to_bits`, in release order.
+type ReleaseBits = Vec<(u64, u64)>;
+
+/// The release bits of a query result.
+fn release_bits(result: &privid::QueryResult) -> ReleaseBits {
+    result
+        .releases
+        .iter()
+        .map(|r| {
+            let raw = r.raw.as_number().expect("numeric release");
+            let noisy = r.value.as_number().expect("numeric release");
+            (raw.to_bits(), noisy.to_bits())
+        })
+        .collect()
+}
+
+#[test]
+fn golden_release_bits_hold_at_every_worker_count() {
+    // The other suites here compare two execution paths of the same build;
+    // this one pins the absolute release bits of fixed (window, seed)
+    // queries, so a rewrite of chunk materialization (or anything else under
+    // the release path) cannot silently change what a query releases.
+    //
+    // Hard left/right halves: people cross the boundary mid-chunk, so the
+    // region split keeps only part of an object's observations.
+    let mut scene = campus_6h();
+    let (w, h) = (scene.frame_size.width as f64, scene.frame_size.height as f64);
+    scene.add_region_scheme(
+        "halves",
+        RegionScheme::new(
+            vec![
+                Region { id: 0, name: "left".into(), bbox: BoundingBox::new(0.0, 0.0, w / 2.0, h) },
+                Region { id: 1, name: "right".into(), bbox: BoundingBox::new(w / 2.0, 0.0, w / 2.0, h) },
+            ],
+            RegionBoundary::Hard,
+        ),
+    );
+    let processor = "PROCESS chunks USING person_counter TIMEOUT 1 sec PRODUCING 20 ROWS
+            WITH SCHEMA (count:NUMBER=0) INTO people;";
+    let cases: [(&str, u64, String, ReleaseBits); 4] = [
+        (
+            "cold COUNT(*)",
+            911,
+            format!("SPLIT campus BEGIN 9000 END 10800 BY TIME 10 sec STRIDE 0 sec INTO chunks; {processor}
+                     SELECT COUNT(*) FROM people CONSUMING 1.0;"),
+            vec![(4631952216750555136, 4644056336533739647)],
+        ),
+        (
+            "GROUP BY chunk BIN",
+            912,
+            format!("SPLIT campus BEGIN 14400 END 16200 BY TIME 10 sec STRIDE 0 sec INTO chunks; {processor}
+                     SELECT COUNT(*) FROM people GROUP BY chunk BIN 600 sec CONSUMING 0.9;"),
+            vec![
+                (4626885667169763328, 4653156299993042213),
+                (4627730092099895296, 13861518006737180064),
+                (4626322717216342016, 13872648348436943177),
+            ],
+        ),
+        (
+            "masked split",
+            913,
+            format!("SPLIT campus BEGIN 3600 END 5400 BY TIME 5 sec STRIDE 0 sec WITH MASK left INTO chunks; {processor}
+                     SELECT COUNT(*) FROM people CONSUMING 1.0;"),
+            vec![(4626041242239631360, 4645858780118843464)],
+        ),
+        (
+            "region-scheme split",
+            914,
+            format!("SPLIT campus BEGIN 18000 END 19800 BY TIME 10 sec STRIDE 0 sec BY REGION halves INTO chunks; {processor}
+                     SELECT COUNT(*) FROM people CONSUMING 1.0;"),
+            vec![(4634344754052595712, 4636794775736463511)],
+        ),
+    ];
+    // The left third of the coarse grid: hides the objects mostly inside it.
+    let grid = GridSpec::coarse(scene.frame_size);
+    let mask = Mask::from_cells(grid, (0..8).flat_map(|c| (0..14).map(move |r| (c, r))));
+    for (name, seed, query, expected) in &cases {
+        for parallelism in [Parallelism::Serial, Parallelism::Fixed(2), Parallelism::Auto] {
+            let mut sys = PrividSystem::new(*seed).with_parallelism(parallelism);
+            sys.register_camera("campus", scene.clone(), PrivacyPolicy::new(60.0, 2, 20.0)).expect("camera registration must succeed");
+            sys.register_mask("campus", "left", MaskPolicy::new(mask.clone(), 30.0)).expect("mask registration must succeed");
+            sys.register_processor("person_counter", || {
+                Box::new(UniqueEntrantProcessor::people()) as Box<dyn ChunkProcessor>
+            }).expect("processor registration must succeed");
+            let result = sys.execute_text(query).unwrap();
+            assert_eq!(release_bits(&result), *expected, "{name} at {parallelism:?}");
+        }
     }
 }
